@@ -3,7 +3,7 @@
 // Closed-loop clients drive one shared engine through SessionManager at 1,
 // 4 and 16 sessions, reporting per-statement throughput and p50/p99. A
 // second run overloads a deliberately tiny admission queue (16 sessions,
-// 2 workers, queue depth 8, retries off) and checks the two properties the
+// 2 statement slots, queue depth 8, retries off) and checks the two properties the
 // dispatcher sells: every failure is a typed kResourceExhausted admission
 // rejection (never a partial execution), and the p99 of *admitted* work
 // stays a bounded multiple of the uncontended p99 — the queue bound, not
@@ -164,7 +164,7 @@ void PrintAndEmit(bool emit_json) {
   }
   const double uncontended_p99 = sweep.front().p99_ms;
 
-  Banner("Overload: 16 sessions, 2 workers, queue depth 8, retries off");
+  Banner("Overload: 16 sessions, 2 slots, queue depth 8, retries off");
   ServerOptions tight;
   tight.worker_threads = 2;
   tight.max_queue_depth = 8;
@@ -181,7 +181,7 @@ void PrintAndEmit(bool emit_json) {
 
   // The dispatcher's overload contract, asserted loudly: failures are
   // typed rejections only, and admitted-tail latency is bounded by the
-  // queue (depth/workers service times of wait), not by offered load.
+  // queue (depth/slots service times of wait), not by offered load.
   // 40x leaves generous headroom over the ~5x the queue math predicts.
   if (overload.untyped != 0) {
     std::fprintf(stderr, "overload produced untyped failures\n");

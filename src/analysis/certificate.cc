@@ -718,20 +718,25 @@ CertificateCheckResult CertificateChecker::ValidateFactPremises(
   for (const CertificatePremise& p : cert.premises) {
     switch (p.kind) {
       case CertificatePremise::Kind::kIntervalFact: {
+        // One source may yield several facts on a column (a BETWEEN CHECK
+        // gives a lower and an upper half): it provides their intersection.
         bool matched = false;
+        Interval provided = Interval::Top();
         for (const auto& fact : fresh.intervals) {
           if (fact.source != p.source || fact.column != p.column) continue;
           matched = true;
-          if (p.interval.Contains(fact.interval)) break;
-          return Invalid("recorded interval " + p.interval.ToString() +
-                         " for column " + StrFormat("%u", p.column) +
-                         " is stronger than source '" + p.source +
-                         "' provides (" + fact.interval.ToString() + ")");
+          provided.Intersect(fact.interval);
         }
         if (!matched) {
           return Stale("source '" + p.source +
                        "' no longer provides an interval fact for column " +
                        StrFormat("%u", p.column));
+        }
+        if (!p.interval.Contains(provided)) {
+          return Invalid("recorded interval " + p.interval.ToString() +
+                         " for column " + StrFormat("%u", p.column) +
+                         " is stronger than source '" + p.source +
+                         "' provides (" + provided.ToString() + ")");
         }
         break;
       }

@@ -50,7 +50,7 @@ Status IcRegistry::CheckInsert(const Catalog& catalog, const std::string& table,
                                const std::vector<Value>& row) {
   for (const IcPtr& c : constraints_) {
     if (c->table() != table || c->informational()) continue;
-    ++checks_performed_;
+    checks_performed_.fetch_add(1, std::memory_order_relaxed);
     SOFTDB_RETURN_IF_ERROR(c->CheckRow(catalog, row));
   }
   return Status::OK();

@@ -1,6 +1,8 @@
 #ifndef SOFTDB_CONSTRAINTS_IC_REGISTRY_H_
 #define SOFTDB_CONSTRAINTS_IC_REGISTRY_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,11 +69,13 @@ class IcRegistry {
   std::size_t size() const { return constraints_.size(); }
 
   /// Total row checks executed (the E7 maintenance-cost metric).
-  std::uint64_t checks_performed() const { return checks_performed_; }
+  std::uint64_t checks_performed() const {
+    return checks_performed_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::vector<IcPtr> constraints_;
-  std::uint64_t checks_performed_ = 0;
+  std::atomic<std::uint64_t> checks_performed_{0};
 };
 
 }  // namespace softdb

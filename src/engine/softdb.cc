@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <mutex>
+#include <shared_mutex>
 
 #include "analysis/impact.h"
 #include "analysis/plan_verifier.h"
@@ -120,6 +122,13 @@ CardinalityEstimator SoftDb::MakeEstimator() const {
 Status SoftDb::InsertRow(const std::string& table_name,
                          const std::vector<Value>& values,
                          const std::set<std::string>* sc_scope) {
+  std::unique_lock<RwLock> lock(engine_mu_);
+  return InsertRowLocked(table_name, values, sc_scope);
+}
+
+Status SoftDb::InsertRowLocked(const std::string& table_name,
+                               const std::vector<Value>& values,
+                               const std::set<std::string>* sc_scope) {
   SOFTDB_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(table_name));
   // Coerce values to the column types (int literals into DATE columns,
   // ints into DOUBLE, ...).
@@ -240,6 +249,7 @@ Status SoftDb::MineZoneMaps(const std::string& table_name) {
 }
 
 Status SoftDb::RunMaintenance() {
+  std::unique_lock<RwLock> lock(engine_mu_);
   SOFTDB_RETURN_IF_ERROR(scs_.RunRepairQueue(catalog_));
   RearmActivePlans();
   return Status::OK();
@@ -566,7 +576,7 @@ Status SoftDb::ExecuteInsert(const InsertStmt& stmt) {
       SOFTDB_ASSIGN_OR_RETURN(Value v, e->Eval({}));
       row.push_back(std::move(v));
     }
-    SOFTDB_RETURN_IF_ERROR(InsertRow(stmt.table, row, scope));
+    SOFTDB_RETURN_IF_ERROR(InsertRowLocked(stmt.table, row, scope));
   }
   return Status::OK();
 }
@@ -804,12 +814,24 @@ Result<QueryResult> SoftDb::Execute(const std::string& sql,
     }
   }
   SOFTDB_RETURN_IF_ERROR(WalReady());
-  if (wal_ == nullptr || recovering_) return Dispatch(sql, query);
+  if (query != nullptr) SOFTDB_RETURN_IF_ERROR(query->Check());
+  SOFTDB_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+  // Readers share the engine; anything that changes data, catalog or SC
+  // state runs alone.
+  std::shared_lock<RwLock> shared(engine_mu_, std::defer_lock);
+  std::unique_lock<RwLock> exclusive(engine_mu_, std::defer_lock);
+  if (stmt.kind == Statement::Kind::kSelect ||
+      stmt.kind == Statement::Kind::kExplain) {
+    shared.lock();
+  } else {
+    exclusive.lock();
+  }
+  if (wal_ == nullptr || recovering_) return Dispatch(sql, stmt, query);
   // Attribute WAL activity to this statement: the writer's counters are
   // engine-cumulative, so the statement's share is the delta around
   // dispatch.
   const WalStats before = wal_->stats();
-  SOFTDB_ASSIGN_OR_RETURN(QueryResult result, Dispatch(sql, query));
+  SOFTDB_ASSIGN_OR_RETURN(QueryResult result, Dispatch(sql, stmt, query));
   const WalStats after = wal_->stats();
   result.exec_stats.wal_records +=
       after.records_appended - before.records_appended;
@@ -819,9 +841,8 @@ Result<QueryResult> SoftDb::Execute(const std::string& sql,
 }
 
 Result<QueryResult> SoftDb::Dispatch(const std::string& sql,
+                                     const Statement& stmt,
                                      const QueryContext* query) {
-  if (query != nullptr) SOFTDB_RETURN_IF_ERROR(query->Check());
-  SOFTDB_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
   // DDL is logged as raw SQL after it succeeds (apply-first); DML is not —
   // each affected row logs its own image from the row pipeline.
   const auto log_ddl = [&]() -> Status {
@@ -880,6 +901,7 @@ Result<std::string> SoftDb::Explain(const std::string& sql) {
       stmt.kind != Statement::Kind::kExplain) {
     return Status::InvalidArgument("EXPLAIN supports SELECT only");
   }
+  std::shared_lock<RwLock> lock(engine_mu_);
   SOFTDB_ASSIGN_OR_RETURN(QueryResult result,
                           ExecuteSelect(sql, *stmt.select,
                                         /*explain_only=*/true,

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/query_context.h"
+#include "common/rw_lock.h"
 #include "constraints/ic_registry.h"
 #include "constraints/repair_worker.h"
 #include "constraints/sc_registry.h"
@@ -172,6 +173,8 @@ class SoftDb {
   /// maintenance, SC maintenance (§3.2/§4.3), AST maintenance. When
   /// `sc_scope` is non-null, synchronous SC maintenance is restricted to
   /// the named SCs (a sound impact set from the static analyzer).
+  /// Holds the engine lock exclusively, like RunMaintenance and
+  /// Checkpoint.
   Status InsertRow(const std::string& table, const std::vector<Value>& values,
                    const std::set<std::string>* sc_scope = nullptr);
 
@@ -243,10 +246,15 @@ class SoftDb {
  private:
   using ScEpochSnapshot = std::vector<std::pair<std::string, std::uint64_t>>;
 
-  /// Statement dispatch proper; Execute wraps it with the WAL health gate
-  /// and per-statement WAL stats attribution.
-  Result<QueryResult> Dispatch(const std::string& sql,
+  /// Statement dispatch proper; Execute parses, takes the engine lock and
+  /// wraps this with the WAL health gate and per-statement WAL stats
+  /// attribution.
+  Result<QueryResult> Dispatch(const std::string& sql, const Statement& stmt,
                                const QueryContext* query);
+  /// InsertRow's body; the caller holds engine_mu_ exclusively.
+  Status InsertRowLocked(const std::string& table,
+                         const std::vector<Value>& values,
+                         const std::set<std::string>* sc_scope);
   Result<QueryResult> ExecuteSelect(const std::string& sql,
                                     const SelectStmt& stmt, bool explain_only,
                                     const QueryContext* query);
@@ -303,6 +311,11 @@ class SoftDb {
   ImpactAnalysisStats impact_stats_;
   std::uint64_t ic_name_counter_ = 0;
   std::map<std::string, std::string> exception_asts_;
+  /// The engine lock (DESIGN.md §8): Execute holds it shared for SELECT and
+  /// EXPLAIN and exclusively for DML and DDL; InsertRow, RunMaintenance and
+  /// Checkpoint hold it exclusively. Writer-preferring, so a stream of
+  /// readers cannot starve DML.
+  RwLock engine_mu_;
   std::mutex scheduler_mu_;  // Guards lazy creation/resize of scheduler_.
   std::unique_ptr<TaskScheduler> scheduler_;
   std::unique_ptr<RepairWorker> repair_worker_;

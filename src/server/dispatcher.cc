@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -11,12 +12,13 @@ namespace softdb {
 
 namespace {
 
-/// Rough admission backoff hint: one base backoff per queued statement a
-/// worker must clear first. Deterministic, so tests can pin it.
+/// Rough admission backoff hint: one base backoff per wave of queued
+/// statements the slots must clear first. Deterministic, so tests can pin
+/// it.
 std::int64_t RetryAfterHintMs(const ServerOptions& options,
                               std::size_t queue_depth) {
-  const std::size_t workers = std::max<std::size_t>(1, options.worker_threads);
-  const std::size_t waves = queue_depth / workers + 1;
+  const std::size_t slots = std::max<std::size_t>(1, options.worker_threads);
+  const std::size_t waves = queue_depth / slots + 1;
   return static_cast<std::int64_t>(options.retry.base_backoff.count()) *
          static_cast<std::int64_t>(waves);
 }
@@ -33,41 +35,20 @@ void BumpHighWater(std::atomic<std::uint64_t>* high_water,
 }  // namespace
 
 Dispatcher::Dispatcher(SoftDb* db, ServerOptions options)
-    : db_(db), options_(std::move(options)) {
-  const std::size_t n = std::max<std::size_t>(1, options_.worker_threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+    : db_(db),
+      options_(std::move(options)),
+      slots_(std::max<std::size_t>(1, options_.worker_threads)) {}
 
 Dispatcher::~Dispatcher() {
   // Hard shutdown for servers that never drained: close admissions,
-  // reject queued work, cancel in-flight statements, join. No checkpoint
-  // — that is Drain()'s contract; an undrained engine recovers from its
-  // WAL tail instead.
-  std::vector<RequestPtr> doomed;
+  // reject queued work, cancel in-flight statements and wait for their
+  // callers to release their slots. No checkpoint — that is Drain()'s
+  // contract; an undrained engine recovers from its WAL tail instead.
   {
     std::lock_guard<std::mutex> lk(mu_);
     draining_ = true;
-    shutdown_ = true;
-    paused_ = false;
-    doomed.assign(queue_.begin(), queue_.end());
-    queue_.clear();
-    for (const RequestPtr& r : running_) {
-      if (r->ctx.cancel != nullptr) r->ctx.cancel->Cancel();
-    }
   }
-  work_cv_.notify_all();
-  for (const RequestPtr& r : doomed) {
-    stats_.drain_rejected.fetch_add(1, std::memory_order_relaxed);
-    Complete(r, WithStatusDetail(
-                    Status::ResourceExhausted("server shutting down"),
-                    "draining", 1));
-  }
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  CloseAndWait("server shutting down", std::chrono::milliseconds(0));
 }
 
 QueryContext Dispatcher::EffectiveContext(const QueryContext* caller,
@@ -112,8 +93,6 @@ Result<QueryResult> Dispatcher::Execute(Session* session,
   }
 
   RequestPtr req = std::make_shared<Request>();
-  req->sql = sql;
-  req->session = session;
   req->priority = session != nullptr ? session->priority() : 0;
   req->ctx = EffectiveContext(caller, session);
 
@@ -131,9 +110,10 @@ Result<QueryResult> Dispatcher::Execute(Session* session,
   }
 
   RequestPtr shed_victim;
+  bool run_now = false;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    if (draining_ || shutdown_) {
+    if (draining_) {
       stats_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
       return WithStatusDetail(
           Status::ResourceExhausted("server draining, admissions closed"),
@@ -145,18 +125,11 @@ Result<QueryResult> Dispatcher::Execute(Session* session,
     if (queue_.size() >= options_.high_water_depth) {
       shed_victim = ShedVictimLocked(req->priority);
     }
+    // A shed victim always leaves room, so a full queue has no victim.
     if (queue_.size() >= options_.max_queue_depth) {
       const std::size_t depth = queue_.size();
       stats_.rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
       lk.unlock();
-      if (shed_victim != nullptr) {
-        // Unreachable by construction (shedding freed a slot), but kept
-        // defensive: never leave a victim pending.
-        Complete(shed_victim,
-                 WithStatusDetail(
-                     Status::ResourceExhausted("shed under overload"),
-                     "shed", 1));
-      }
       Status st = WithStatusDetail(
           Status::ResourceExhausted("admission queue full"), "queue_depth",
           static_cast<std::int64_t>(depth));
@@ -181,24 +154,43 @@ Result<QueryResult> Dispatcher::Execute(Session* session,
 
     req->seq = next_seq_++;
     req->enqueued_at = std::chrono::steady_clock::now();
-    queue_.push_back(req);
     stats_.admitted.fetch_add(1, std::memory_order_relaxed);
-    BumpHighWater(&stats_.queue_depth_high_water, queue_.size());
+    // Caller-runs: with a free slot (so, by construction, an empty queue)
+    // the statement runs right here on the client thread.
+    run_now = !paused_ && running_.size() < slots_;
+    if (run_now) {
+      running_.push_back(req);
+    } else {
+      queue_.push_back(req);
+      BumpHighWater(&stats_.queue_depth_high_water, queue_.size());
+    }
+    // Completed under mu_: a queued caller must not touch the dispatcher
+    // after the unlock, since a destructor may reject it and return.
+    if (shed_victim != nullptr) {
+      stats_.shed.fetch_add(1, std::memory_order_relaxed);
+      Status st = WithStatusDetail(
+          Status::ResourceExhausted("shed under overload"), "shed", 1);
+      Complete(shed_victim,
+               WithStatusDetail(std::move(st), "retry_after_ms",
+                                RetryAfterHintMs(options_, queue_.size())));
+    }
   }
-  work_cv_.notify_one();
 
-  if (shed_victim != nullptr) {
-    stats_.shed.fetch_add(1, std::memory_order_relaxed);
-    Status st = WithStatusDetail(
-        Status::ResourceExhausted("shed under overload"), "shed", 1);
-    Complete(shed_victim,
-             WithStatusDetail(std::move(st), "retry_after_ms",
-                              RetryAfterHintMs(options_, queue_depth())));
+  if (!run_now) {
+    // A queued request waits for one wake-up: the grant of a freed slot,
+    // or its completion by shedding or drain.
+    std::unique_lock<std::mutex> rlk(req->mu);
+    req->cv.wait(rlk, [&req] { return req->granted || req->done; });
+    if (req->done) return std::move(*req->result);
+    rlk.unlock();
+    // The grant's wake-up tends to preempt the granting caller on its own
+    // CPU; yielding lets that caller return its finished statement first,
+    // so statements complete in grant order.
+    std::this_thread::yield();
   }
-
-  std::unique_lock<std::mutex> rlk(req->mu);
-  req->cv.wait(rlk, [&req] { return req->done; });
-  return *req->result;
+  Result<QueryResult> result = ServeRequest(*req, sql);
+  Release(req);
+  return result;
 }
 
 std::list<Dispatcher::RequestPtr>::iterator Dispatcher::BestLocked() {
@@ -231,65 +223,70 @@ Dispatcher::RequestPtr Dispatcher::ShedVictimLocked(int incoming_priority) {
   return out;
 }
 
-void Dispatcher::WorkerLoop() {
-  for (;;) {
-    RequestPtr req;
+void Dispatcher::Release(const RequestPtr& req) {
+  std::vector<RequestPtr> granted;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    running_.erase(std::find(running_.begin(), running_.end(), req));
+    granted = GrantLocked();
+    // Notified under mu_: once running_ is empty the destructor may free
+    // this dispatcher, so nothing here may touch it after the unlock.
+    if (running_.empty()) idle_cv_.notify_all();
+  }
+  Wake(granted);
+}
+
+std::vector<Dispatcher::RequestPtr> Dispatcher::GrantLocked() {
+  std::vector<RequestPtr> granted;
+  while (!paused_ && !queue_.empty() && running_.size() < slots_) {
+    auto it = BestLocked();
+    running_.push_back(*it);
+    granted.push_back(*it);
+    queue_.erase(it);
+  }
+  return granted;
+}
+
+void Dispatcher::Wake(const std::vector<RequestPtr>& granted) {
+  for (const RequestPtr& req : granted) {
     {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [this] {
-        return shutdown_ || (!paused_ && !queue_.empty());
-      });
-      if (shutdown_) return;
-      auto it = BestLocked();
-      req = *it;
-      queue_.erase(it);
-      running_.push_back(req);
+      std::lock_guard<std::mutex> lk(req->mu);
+      req->granted = true;
     }
-    ServeRequest(req);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      running_.erase(std::find(running_.begin(), running_.end(), req));
-      if (running_.empty()) idle_cv_.notify_all();
-    }
+    req->cv.notify_one();
   }
 }
 
-void Dispatcher::ServeRequest(const RequestPtr& req) {
+Result<QueryResult> Dispatcher::ServeRequest(const Request& req,
+                                             const std::string& sql) {
   if (SOFTDB_FAILPOINT_FIRED("server.dequeue")) {
-    Complete(req, WithStatusDetail(
-                      Status::ResourceExhausted("injected dequeue fault"),
-                      "retry_after_ms",
-                      static_cast<std::int64_t>(
-                          options_.retry.base_backoff.count())));
-    return;
+    return WithStatusDetail(
+        Status::ResourceExhausted("injected dequeue fault"), "retry_after_ms",
+        static_cast<std::int64_t>(options_.retry.base_backoff.count()));
   }
 
-  // Deadline-aware dequeue: work whose budget expired while it waited is
+  // Deadline-aware grant: work whose budget expired while it waited is
   // never executed doomed.
-  if (req->ctx.DeadlineExpired()) {
+  if (req.ctx.DeadlineExpired()) {
     stats_.expired_in_queue.fetch_add(1, std::memory_order_relaxed);
     const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - req->enqueued_at);
-    Complete(req, WithStatusDetail(
-                      Status::DeadlineExceeded("deadline expired in queue"),
-                      "queued_ms", waited.count()));
-    return;
+        std::chrono::steady_clock::now() - req.enqueued_at);
+    return WithStatusDetail(
+        Status::DeadlineExceeded("deadline expired in queue"), "queued_ms",
+        waited.count());
   }
 
   stats_.executed.fetch_add(1, std::memory_order_relaxed);
 
   if (SOFTDB_FAILPOINT_FIRED("server.session_execute")) {
     stats_.failed.fetch_add(1, std::memory_order_relaxed);
-    Complete(req,
-             WithStatusDetail(
-                 Status::ResourceExhausted("injected execution fault"),
-                 "retry_after_ms",
-                 static_cast<std::int64_t>(
-                     options_.retry.base_backoff.count())));
-    return;
+    return WithStatusDetail(
+        Status::ResourceExhausted("injected execution fault"),
+        "retry_after_ms",
+        static_cast<std::int64_t>(options_.retry.base_backoff.count()));
   }
 
-  Result<QueryResult> result = db_->Execute(req->sql, &req->ctx);
+  Result<QueryResult> result = db_->Execute(sql, &req.ctx);
   if (result.ok()) {
     stats_.succeeded.fetch_add(1, std::memory_order_relaxed);
     stats_.rows_output.fetch_add(result->exec_stats.rows_output,
@@ -301,7 +298,7 @@ void Dispatcher::ServeRequest(const RequestPtr& req) {
   } else {
     stats_.failed.fetch_add(1, std::memory_order_relaxed);
   }
-  Complete(req, std::move(result));
+  return result;
 }
 
 void Dispatcher::Complete(const RequestPtr& req, Result<QueryResult> result) {
@@ -310,7 +307,33 @@ void Dispatcher::Complete(const RequestPtr& req, Result<QueryResult> result) {
     req->result.emplace(std::move(result));
     req->done = true;
   }
-  req->cv.notify_all();
+  req->cv.notify_one();
+}
+
+void Dispatcher::CloseAndWait(const char* reason,
+                              std::chrono::milliseconds grace) {
+  std::vector<RequestPtr> doomed;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    doomed.assign(queue_.begin(), queue_.end());
+    queue_.clear();
+  }
+  for (const RequestPtr& r : doomed) {
+    stats_.drain_rejected.fetch_add(1, std::memory_order_relaxed);
+    Complete(r, WithStatusDetail(Status::ResourceExhausted(reason),
+                                 "draining", 1));
+  }
+  // Stragglers past the grace period are cancelled through their tokens
+  // (cooperative: they observe the token within a batch/morsel).
+  std::unique_lock<std::mutex> lk(mu_);
+  idle_cv_.wait_for(lk, grace, [this] { return running_.empty(); });
+  for (const RequestPtr& r : running_) {
+    if (r->ctx.cancel != nullptr) {
+      r->ctx.cancel->Cancel();
+      stats_.drain_cancelled.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  idle_cv_.wait(lk, [this] { return running_.empty(); });
 }
 
 Status Dispatcher::Drain() {
@@ -336,48 +359,13 @@ Status Dispatcher::Drain() {
 Status Dispatcher::DrainLocked() {
   SOFTDB_FAILPOINT_HIT("server.drain");
 
-  // 1. Admissions are closed (draining_). Reject everything still queued:
-  // a draining server must not start new work.
-  std::vector<RequestPtr> doomed;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    doomed.assign(queue_.begin(), queue_.end());
-    queue_.clear();
-    paused_ = false;  // Frozen workers must wake to observe shutdown.
-  }
-  for (const RequestPtr& r : doomed) {
-    stats_.drain_rejected.fetch_add(1, std::memory_order_relaxed);
-    Complete(r, WithStatusDetail(
-                    Status::ResourceExhausted("server draining"),
-                    "draining", 1));
-  }
+  // 1. Admissions are closed (draining_). Reject everything still queued,
+  // give in-flight statements the drain grace period, cancel the
+  // stragglers, and wait for their callers to release their slots.
+  CloseAndWait("server draining",
+               std::chrono::milliseconds(options_.drain_deadline_ms));
 
-  // 2. Give in-flight statements the drain grace period, then cancel the
-  // stragglers through their tokens (cooperative: they observe the token
-  // within a batch/morsel).
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const auto grace_deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.drain_deadline_ms);
-    idle_cv_.wait_until(lk, grace_deadline,
-                        [this] { return running_.empty(); });
-    for (const RequestPtr& r : running_) {
-      if (r->ctx.cancel != nullptr) {
-        r->ctx.cancel->Cancel();
-        stats_.drain_cancelled.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    idle_cv_.wait(lk, [this] { return running_.empty(); });
-    // 3. Stop and join the pool.
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-
-  // 4. Leave durable state checkpointed: a drained server restarts from a
+  // 2. Leave durable state checkpointed: a drained server restarts from a
   // checkpoint, not a replay. (Crashes before/inside this step stay
   // recoverable — Checkpoint is crash-consistent at every step.)
   Status st = Status::OK();
@@ -394,11 +382,13 @@ void Dispatcher::PauseWorkers() {
 }
 
 void Dispatcher::ResumeWorkers() {
+  std::vector<RequestPtr> granted;
   {
     std::lock_guard<std::mutex> lk(mu_);
     paused_ = false;
+    granted = GrantLocked();
   }
-  work_cv_.notify_all();
+  Wake(granted);
 }
 
 }  // namespace softdb

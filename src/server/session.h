@@ -82,8 +82,8 @@ class Session {
 };
 
 /// Owner of all sessions serving one SoftDb, and of the Dispatcher they
-/// share. Construction spins up the worker pool; Drain() (or destruction)
-/// shuts it down. See DESIGN.md §15 for the serving state machine.
+/// share. Drain() (or destruction) closes admissions and waits for
+/// in-flight statements. See DESIGN.md §15 for the serving state machine.
 class SessionManager {
  public:
   explicit SessionManager(SoftDb* db, ServerOptions options = {});

@@ -33,6 +33,16 @@ void Index::Rebuild() {
               if (cmp.ok() && *cmp != 0) return *cmp < 0;
               return a.row < b.row;
             });
+  page_switches_ = 0;
+  for (std::size_t i = 0; i + 1 < entries_.size(); ++i) {
+    page_switches_ += PageSwitchAt(i);
+  }
+}
+
+std::size_t Index::PageSwitchAt(std::size_t i) const {
+  return entries_[i].row / kRowsPerPage != entries_[i + 1].row / kRowsPerPage
+             ? 1
+             : 0;
 }
 
 Status Index::Insert(const Value& key, RowId row) {
@@ -44,7 +54,12 @@ Status Index::Insert(const Value& key, RowId row) {
                                if (cmp.ok() && *cmp != 0) return *cmp < 0;
                                return a.row < b.row;
                              });
+  const std::size_t i = static_cast<std::size_t>(it - entries_.begin());
+  // The new entry splits pair (i-1, i) into (i-1, i) and (i, i+1).
+  if (i > 0 && i < entries_.size()) page_switches_ -= PageSwitchAt(i - 1);
   entries_.insert(it, std::move(e));
+  if (i > 0) page_switches_ += PageSwitchAt(i - 1);
+  if (i + 1 < entries_.size()) page_switches_ += PageSwitchAt(i);
   return Status::OK();
 }
 
@@ -55,7 +70,11 @@ Status Index::Remove(const Value& key, RowId row) {
     auto cmp = entries_[i].key.Compare(key);
     if (!cmp.ok() || *cmp != 0) break;
     if (entries_[i].row == row) {
+      // Pairs (i-1, i) and (i, i+1) merge into (i-1, i+1).
+      if (i > 0) page_switches_ -= PageSwitchAt(i - 1);
+      if (i + 1 < entries_.size()) page_switches_ -= PageSwitchAt(i);
       entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+      if (i > 0 && i < entries_.size()) page_switches_ += PageSwitchAt(i - 1);
       return Status::OK();
     }
   }
@@ -103,18 +122,10 @@ std::size_t Index::RangeSize(const std::optional<Value>& lo, bool lo_inclusive,
 }
 
 double Index::PageSwitchDensity() const {
-  if (density_cache_size_ == entries_.size()) return density_cache_;
   if (entries_.empty()) return 1.0;
-  std::uint64_t switches = 1;  // First entry always fetches a page.
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    if (entries_[i].row / kRowsPerPage != entries_[i - 1].row / kRowsPerPage) {
-      ++switches;
-    }
-  }
-  density_cache_ =
-      static_cast<double>(switches) / static_cast<double>(entries_.size());
-  density_cache_size_ = entries_.size();
-  return density_cache_;
+  // The first entry always fetches a page.
+  return static_cast<double>(page_switches_ + 1) /
+         static_cast<double>(entries_.size());
 }
 
 std::optional<Value> Index::MinKey() const {

@@ -66,14 +66,16 @@ class Index {
 
   // Index into entries_ of the first entry >= (or > if !inclusive) `key`.
   std::size_t LowerBound(const Value& key, bool inclusive) const;
+  // 1 when entries_[i] and entries_[i + 1] sit on different data pages.
+  std::size_t PageSwitchAt(std::size_t i) const;
 
   std::string name_;
   const Table* table_;
   ColumnIdx column_;
   std::vector<Entry> entries_;
-  // PageSwitchDensity cache, keyed by entry count.
-  mutable double density_cache_ = 1.0;
-  mutable std::size_t density_cache_size_ = ~std::size_t{0};
+  // Adjacent entry pairs on different data pages, kept exact by Rebuild,
+  // Insert and Remove (each fixes at most two pairs).
+  std::size_t page_switches_ = 0;
 };
 
 }  // namespace softdb

@@ -697,6 +697,7 @@ Status DecodeStats(BinReader* r, StatsCatalog* stats) {
 // ---------------------------------------------------------------------------
 
 Status SoftDb::Checkpoint() {
+  std::unique_lock<RwLock> lock(engine_mu_);
   SOFTDB_RETURN_IF_ERROR(WalReady());
   if (wal_ == nullptr) {
     return Status::InvalidArgument(
@@ -713,9 +714,8 @@ Status SoftDb::Checkpoint() {
   SOFTDB_RETURN_IF_ERROR(writer.Sync());
   const std::uint64_t sealed_seq = writer.seq();
 
-  // Step 2: snapshot the full engine state to checkpoint.tmp. Requires the
-  // engine to be quiescent (no concurrent statements or repair-worker
-  // activity), per the engine's DML serialization contract.
+  // Step 2: snapshot the full engine state to checkpoint.tmp. The engine
+  // lock keeps statements out; the repair worker must be stopped or idle.
   BinWriter body;
   body.PutU64(sealed_seq + 1);  // wal_start_seq: replay begins here.
   EncodeTables(catalog_, &body);

@@ -18,6 +18,7 @@
 #include "analysis/certificate.h"
 #include "analysis/implication.h"
 #include "common/date.h"
+#include "common/str_util.h"
 #include "constraints/column_offset_sc.h"
 #include "constraints/domain_sc.h"
 #include "constraints/zone_map_sc.h"
@@ -600,6 +601,41 @@ TEST_F(CertificateFixture, EngineCountsCertificatesAndNeverFails) {
         << sql;
     EXPECT_EQ(hit->exec_stats.certificates_failed, 0u) << sql;
   }
+}
+
+TEST_F(CertificateFixture, TwoSidedCheckPremisesCertifyOnE10Union) {
+  // E10: each sales_mN carries an informational `sale_date BETWEEN` CHECK,
+  // which yields two interval facts (lower and upper half) from one
+  // source. Premises recorded from either half must certify against the
+  // intersection of what the source provides.
+  std::string sql;
+  for (int m = 1; m <= 12; ++m) {
+    if (m > 1) sql += " UNION ALL ";
+    sql += StrFormat(
+        "SELECT sale_id, amount FROM sales_m%d WHERE sale_date BETWEEN "
+        "DATE '1999-03-01' AND DATE '1999-04-30'",
+        m);
+  }
+  const std::vector<RewriteCertificate> certs = Harvest(sql);
+  std::size_t interval_premises = 0;
+  for (const RewriteCertificate& cert : certs) {
+    for (const CertificatePremise& p : cert.premises) {
+      if (p.kind == CertificatePremise::Kind::kIntervalFact) {
+        ++interval_premises;
+      }
+    }
+  }
+  EXPECT_GE(certs.size(), 12u);
+  EXPECT_GT(interval_premises, 0u);
+  ExpectAllOk(certs);
+
+  // Through the engine: no failed certificate, and in debug builds (which
+  // turn a failure into an Internal error) the query still answers.
+  auto r = db_.Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GE(r->exec_stats.certificates_checked, 12u);
+  EXPECT_EQ(r->exec_stats.certificates_failed, 0u);
+  EXPECT_EQ(r->rows.NumRows(), 2 * 20u);  // Two months of 20 sales each.
 }
 
 TEST_F(CertificateFixture, CertifyPlansOffSkipsCheckingInRelease) {

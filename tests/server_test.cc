@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -302,6 +303,192 @@ TEST_F(ServerTest, HighPrioritySessionDispatchedFirst) {
     return std::find(order.begin(), order.end(), tag) - order.begin();
   };
   EXPECT_LT(pos(3), pos(2));
+}
+
+// ------------------------------------------------- caller-runs admission
+
+/// Holds every statement that reaches `exec.drain` until Open() — a
+/// statement parked mid-execution, still holding its slot.
+class Gate {
+ public:
+  Gate() {
+    FP().Enable("exec.drain", Always());
+    FP().SetAction("exec.drain", [this] {
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        threads_.insert(std::this_thread::get_id());
+      }
+      blocked_.store(true);
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [this] { return open_; });
+    });
+  }
+  ~Gate() {
+    Open();
+    FP().DisableAll();
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  bool blocked() const { return blocked_.load(); }
+  /// Threads that executed statement rows.
+  std::set<std::thread::id> threads() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return threads_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::atomic<bool> blocked_{false};
+  std::set<std::thread::id> threads_;
+};
+
+TEST_F(ServerTest, SlotsCapConcurrentStatements) {
+  ServerOptions options;
+  options.worker_threads = 2;
+  SessionManager server(&db_, options);
+  // Observed from inside executing statements: how many run at once, by
+  // an independent count and by the dispatcher's own.
+  std::atomic<int> inside{0};
+  std::atomic<int> max_inside{0};
+  std::atomic<std::size_t> max_in_flight{0};
+  FP().Enable("exec.drain", Always());
+  FP().SetAction("exec.drain", [&] {
+    const int now = inside.fetch_add(1) + 1;
+    int seen = max_inside.load();
+    while (now > seen && !max_inside.compare_exchange_weak(seen, now)) {
+    }
+    const std::size_t flight = server.dispatcher().in_flight();
+    std::size_t flight_seen = max_in_flight.load();
+    while (flight > flight_seen &&
+           !max_in_flight.compare_exchange_weak(flight_seen, flight)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    inside.fetch_sub(1);
+  });
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 8; ++c) {
+    clients.emplace_back([&server, &failures, c] {
+      auto session = server.OpenSession("c" + std::to_string(c));
+      if (!session.ok()) {
+        ++failures;
+        return;
+      }
+      for (int i = 0; i < 10; ++i) {
+        auto r = (*session)->Execute("SELECT id FROM t WHERE id < 4");
+        if (!r.ok() || r->rows.NumRows() != 4) ++failures;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  FP().DisableAll();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(max_inside.load(), 1);
+  EXPECT_LE(max_inside.load(), 2);
+  EXPECT_LE(max_in_flight.load(), 2u);
+  EXPECT_EQ(server.stats().succeeded.load(), 80u);
+}
+
+TEST_F(ServerTest, FreeSlotRunsStatementOnCallingThread) {
+  SessionManager server(&db_);
+  auto session = server.OpenSession();
+  ASSERT_TRUE(session.ok());
+  std::set<std::thread::id> threads;
+  FP().Enable("exec.drain", Always());
+  FP().SetAction("exec.drain",
+                 [&threads] { threads.insert(std::this_thread::get_id()); });
+  Result<QueryResult> r = (*session)->Execute("SELECT * FROM t");
+  FP().DisableAll();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(server.stats().executed.load(), 1u);
+  // It never waited in the queue.
+  EXPECT_EQ(server.stats().queue_depth_high_water.load(), 0u);
+}
+
+TEST_F(ServerTest, GrantedWaiterWithExpiredDeadlineNeverRuns) {
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.retry.max_attempts = 1;
+  SessionManager server(&db_, options);
+  auto holder = server.OpenSession("holder");
+  auto waiter = server.OpenSession("waiter");
+  ASSERT_TRUE(holder.ok());
+  ASSERT_TRUE(waiter.ok());
+
+  auto gate = std::make_unique<Gate>();
+  auto first = std::async(std::launch::async, [&holder] {
+    return (*holder)->Execute("SELECT * FROM t");
+  });
+  ASSERT_TRUE(WaitFor([&gate] { return gate->blocked(); }));
+  QueryContext ctx;
+  ctx.SetDeadlineAfter(std::chrono::milliseconds(30));
+  auto doomed = std::async(std::launch::async, [&waiter, &ctx] {
+    return (*waiter)->Execute("SELECT * FROM t", &ctx);
+  });
+  ASSERT_TRUE(WaitFor([&server] {
+    return server.dispatcher().queue_depth() == 1;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // The holder finishes and grants its slot to the waiter, whose budget
+  // has lapsed in the queue.
+  gate->Open();
+  EXPECT_TRUE(first.get().ok());
+  Result<QueryResult> r = doomed.get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(StatusDetail(r.status(), "queued_ms").value_or(0), 0);
+  EXPECT_EQ(server.stats().expired_in_queue.load(), 1u);
+  EXPECT_EQ(server.stats().executed.load(), 1u);
+  EXPECT_EQ(gate->threads().size(), 1u);  // Only the holder ran rows.
+  gate.reset();
+}
+
+TEST_F(ServerTest, DestructionRejectsQueuedAndWaitsForInFlight) {
+  ServerOptions options;
+  options.worker_threads = 1;
+  auto server = std::make_unique<SessionManager>(&db_, options);
+  Dispatcher* dispatcher = &server->dispatcher();
+
+  auto gate = std::make_unique<Gate>();
+  auto in_flight = std::async(std::launch::async, [dispatcher] {
+    return dispatcher->Execute(nullptr, "SELECT * FROM t", nullptr);
+  });
+  ASSERT_TRUE(WaitFor([&gate] { return gate->blocked(); }));
+  std::vector<std::future<Result<QueryResult>>> queued;
+  for (int i = 0; i < 3; ++i) {
+    queued.push_back(std::async(std::launch::async, [dispatcher] {
+      return dispatcher->Execute(nullptr, "SELECT * FROM t", nullptr);
+    }));
+  }
+  ASSERT_TRUE(WaitFor([dispatcher] { return dispatcher->queue_depth() == 3; }));
+
+  auto destroyed = std::async(std::launch::async, [&server] { server.reset(); });
+  for (auto& f : queued) {
+    Result<QueryResult> r = f.get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(StatusDetail(r.status(), "draining"), 1);
+  }
+  // The in-flight caller still holds its slot, so destruction waits.
+  EXPECT_EQ(destroyed.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  gate->Open();
+  destroyed.get();
+  // Cancelled by the destructor, or finished before it looked.
+  Result<QueryResult> r = in_flight.get();
+  EXPECT_TRUE(r.ok() || r.status().code() == StatusCode::kCancelled)
+      << r.status().ToString();
+  EXPECT_EQ(gate->threads().size(), 1u);
+  gate.reset();
 }
 
 // --------------------------------------------------- deadline-aware queueing

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "storage/catalog.h"
 #include "storage/index.h"
 #include "storage/table.h"
@@ -230,6 +234,44 @@ TEST(IndexDensityTest, ClusteredVsRandom) {
   Index ri("ri", &random, 0);
   EXPECT_LT(ci.PageSwitchDensity(), 0.05);   // ~1/64.
   EXPECT_GT(ri.PageSwitchDensity(), 0.5);    // Nearly one page per row.
+}
+
+TEST(IndexDensityTest, MaintainedCountMatchesFullRewalk) {
+  // Random inserts and removes (duplicate keys included) keep the page
+  // switch count exact: after every step the density equals, bit for bit,
+  // that of a fresh index that re-walks all entries.
+  Schema s;
+  s.AddColumn({"v", TypeId::kInt64, false, "t"});
+  Table t("t", s);
+  Index idx("i", &t, 0);
+  std::vector<std::pair<std::int64_t, RowId>> live;
+  std::uint64_t x = 12345;
+  auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  for (int step = 0; step < 3000; ++step) {
+    if (live.empty() || next(3) != 0) {
+      const auto key = static_cast<std::int64_t>(next(200));
+      auto rid = t.Append({Value::Int64(key)});
+      ASSERT_TRUE(rid.ok());
+      ASSERT_TRUE(idx.Insert(Value::Int64(key), *rid).ok());
+      live.emplace_back(key, *rid);
+    } else {
+      const std::size_t victim = next(live.size());
+      const auto [key, rid] = live[victim];
+      ASSERT_TRUE(idx.Remove(Value::Int64(key), rid).ok());
+      ASSERT_TRUE(t.Delete(rid).ok());
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    if (step % 50 == 0 || step == 2999) {
+      Index fresh("fresh", &t, 0);
+      ASSERT_EQ(idx.NumEntries(), fresh.NumEntries());
+      ASSERT_EQ(idx.PageSwitchDensity(), fresh.PageSwitchDensity())
+          << "step " << step;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Catalog

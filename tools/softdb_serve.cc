@@ -8,7 +8,8 @@
 // Loads the catalog script into a fresh engine (optionally WAL-backed),
 // then opens N concurrent sessions that sweep the workload statements
 // round-robin for the requested number of rounds, exercising the full
-// serving path: admission control, shedding, per-session retry/backoff,
+// serving path: admission control (--workers caps concurrent statements),
+// shedding, per-session retry/backoff,
 // and a graceful drain (WAL checkpoint included) at the end. The report
 // is the exported ServerStats plus per-session rollups — the same
 // counters the overload drill in tests/server_test.cc asserts on.
@@ -45,6 +46,8 @@ void PrintUsage(std::FILE* out) {
       "Serves the workload to N concurrent sessions through the\n"
       "admission-controlled dispatcher, then drains gracefully (WAL\n"
       "checkpoint included when --wal-dir is set) and reports ServerStats.\n"
+      "--workers N caps concurrent statements (each runs on its session's\n"
+      "own thread; the rest queue).\n"
       "Statements rejected under overload retry inside their session; a\n"
       "run is clean when every failure (if any) was typed retryable.\n"
       "\n"
